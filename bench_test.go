@@ -167,8 +167,9 @@ func BenchmarkSimulateHelix(b *testing.B) {
 // BenchmarkLargeSweep measures a full Session.Sweep — every registered
 // method across four sequence lengths and three pipeline sizes (144 cells) —
 // and reports cells simulated per second. This is the wall-clock number the
-// engine rewrite and cost-book memoization target; the CI perf trajectory
-// pins the closely related 216-cell sweep via internal/bench.SweepBaseline.
+// engine rewrite and cost-book memoization target; the repository
+// benchmark's sweep-grid workload (perfbench) times the same cell pipeline
+// end to end through Session.Execute.
 func BenchmarkLargeSweep(b *testing.B) {
 	s, err := NewSession(Model3B(), A800Cluster())
 	if err != nil {

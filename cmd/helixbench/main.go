@@ -17,10 +17,6 @@
 //	helixbench -method helixpipe -csv sweep.csv
 //	                                # stream rows into sweep.csv as cells
 //	                                # complete (tail -f friendly)
-//	helixbench -diff prev/BENCH_baseline.json -against BENCH_baseline.json
-//	                                # perf trajectory: exit 1 on any >10%
-//	                                # throughput regression vs the previous
-//	                                # recorded baseline
 package main
 
 import (
@@ -29,7 +25,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	helixpipe "repro"
 	"repro/internal/cliutil"
@@ -56,9 +51,6 @@ func main() {
 		csvPath     = flag.String("csv", "", "stream sweep reports as CSV rows to this path as cells complete")
 		noCache     = flag.Bool("nocache", false, "disable the report cache: simulate every cell, even exact duplicates")
 		metricsOut  = flag.Bool("metrics", false, "dump the telemetry metrics snapshot (Prometheus text) to stderr after a sweep")
-		diffPrev    = flag.String("diff", "", "previous BENCH_baseline.json to diff the perf trajectory against")
-		diffCur     = flag.String("against", "", "current BENCH_baseline.json for -diff")
-		diffLimit   = flag.Float64("threshold", 0.10, "throughput regression fraction -diff fails on")
 		listenAddr  = flag.String("listen", "", "serve /metrics and /debug/vars on this address (e.g. localhost:6060) for the run's duration")
 	)
 	flag.Parse()
@@ -69,10 +61,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "helixbench: serving /metrics and /debug/vars on http://%s\n", addr)
-	}
-	if *diffPrev != "" || *diffCur != "" {
-		runDiff(*diffPrev, *diffCur, *diffLimit)
-		return
 	}
 	if *methodsFlag != "" || sf.Path != "" {
 		runSweep(sf, *methodsFlag, *modelName, *clusterName, *jsonOut, *csvPath, *noCache, *metricsOut)
@@ -85,7 +73,12 @@ func main() {
 		log.Fatal("-csv streams sweep reports; use it with -method or -spec")
 	}
 
-	tables, err := helixpipe.AllExperiments()
+	prefix := *exp
+	if prefix == "all" {
+		prefix = ""
+	}
+	// Only the matching experiments run: a static table is instant.
+	tables, err := helixpipe.SelectExperiments(prefix)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,12 +87,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var matched []*helixpipe.ExperimentTable
 	for _, t := range tables {
-		if *exp != "all" && !strings.HasPrefix(t.ID, *exp) {
-			continue
-		}
-		matched = append(matched, t)
 		var out string
 		if !*jsonOut || *outDir != "" {
 			out = t.Render()
@@ -114,48 +102,16 @@ func main() {
 			}
 		}
 	}
-	if len(matched) == 0 {
+	if len(tables) == 0 {
 		log.Fatalf("no experiment matches %q", *exp)
 	}
 	if *jsonOut {
-		if err := helixpipe.WriteTablesJSON(os.Stdout, matched); err != nil {
+		if err := helixpipe.WriteTablesJSON(os.Stdout, tables); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-	fmt.Printf("ran %d experiments\n", len(matched))
-}
-
-// runDiff enforces the perf trajectory: it diffs the previous recorded
-// baseline against the current one and exits non-zero on any throughput
-// regression beyond the threshold.
-func runDiff(prevPath, curPath string, threshold float64) {
-	if prevPath == "" || curPath == "" {
-		log.Fatal("-diff and -against must both be given")
-	}
-	read := func(path string) []helixpipe.BaselineConfig {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		configs, err := helixpipe.ReadBaselineJSON(f)
-		if err != nil {
-			log.Fatalf("%s: %v", path, err)
-		}
-		return configs
-	}
-	prev, cur := read(prevPath), read(curPath)
-	regressions := helixpipe.CompareBaselines(prev, cur, threshold)
-	if len(regressions) == 0 {
-		fmt.Printf("perf trajectory ok: no throughput regression beyond %.0f%% across %d baseline configs\n",
-			threshold*100, len(prev))
-		return
-	}
-	for _, r := range regressions {
-		fmt.Fprintf(os.Stderr, "regression: %s\n", r)
-	}
-	os.Exit(1)
+	fmt.Printf("ran %d experiments\n", len(tables))
 }
 
 // runSweep fans the spec's methods across its sweep axes — the paper's

@@ -100,6 +100,41 @@ func TestFleetBestFitBeatsFIFO(t *testing.T) {
 	}
 }
 
+// TestFleetPolicyResults pins every preset admission policy's outcome on the
+// committed example stream: a fleet-engine or pricing change that moves any
+// policy's jobs/hour or makespan shows up here, exactly, per policy.
+func TestFleetPolicyResults(t *testing.T) {
+	want := map[string]struct{ jobsPerHour, makespanSec float64 }{
+		FleetPolicyFIFO:     {357.9329474708741, 603.4649828305522},
+		FleetPolicyBestFit:  {365.1024974720002, 591.6146876441597},
+		FleetPolicyWorstFit: {365.1024974720002, 591.6146876441597},
+		FleetPolicyBackfill: {361.365340517374, 597.7330302091187},
+		FleetPolicyPreempt:  {344.70631603742066, 626.6203720402717},
+	}
+	cache := NewReportCache() // shared: every policy prices the same job shapes
+	for _, policy := range FleetPolicies() {
+		t.Run(policy, func(t *testing.T) {
+			w, ok := want[policy]
+			if !ok {
+				t.Fatalf("no pinned result for preset policy %q", policy)
+			}
+			session, fs := exampleFleet(t, policy)
+			fs.Cache = cache
+			report, err := session.Fleet(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.ThroughputJobsPerHour != w.jobsPerHour || report.MakespanSec != w.makespanSec {
+				t.Errorf("%v jobs/h over a %vs makespan, want %v jobs/h over %vs",
+					report.ThroughputJobsPerHour, report.MakespanSec, w.jobsPerHour, w.makespanSec)
+			}
+		})
+	}
+	if len(want) != len(FleetPolicies()) {
+		t.Errorf("%d pinned policies, %d presets", len(want), len(FleetPolicies()))
+	}
+}
+
 // TestFleetDeterministicJSON pins end-to-end determinism: resolving and
 // running the same spec twice, from scratch, yields byte-identical fleet
 // report JSON.

@@ -428,16 +428,6 @@ func AttnStage(layer, mb, stages int) int { return core.AttnStage(layer, mb, sta
 // AllExperiments regenerates every paper table and figure.
 func AllExperiments() ([]*ExperimentTable, error) { return bench.All() }
 
-// BaselineConfig is one configuration of the recorded perf baseline
-// (BENCH_baseline.json).
-type BaselineConfig = bench.BaselineConfig
-
-// ReadBaselineJSON decodes a recorded perf baseline artifact.
-func ReadBaselineJSON(r io.Reader) ([]BaselineConfig, error) { return bench.ReadBaselineJSON(r) }
-
-// CompareBaselines diffs a previous perf baseline against the current one
-// and returns one line per throughput regression beyond the threshold (0.10
-// = fail on a >10% drop). Configs or methods on only one side never count.
-func CompareBaselines(prev, cur []BaselineConfig, threshold float64) []string {
-	return bench.CompareBaselines(prev, cur, threshold)
-}
+// SelectExperiments runs only the paper experiments whose table ID starts
+// with prefix ("" selects every one), in AllExperiments order.
+func SelectExperiments(prefix string) ([]*ExperimentTable, error) { return bench.Select(prefix) }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/costmodel"
 	"repro/internal/memsim"
@@ -175,34 +176,50 @@ func ZB1PSensitivity() (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment (Figure 8 panels included) and returns the
-// tables in paper order.
-func All() ([]*Table, error) {
+// experiment is one entry of the paper-order experiment table: the ID of
+// the table it renders, known before it runs so a selector can skip it.
+type experiment struct {
+	id  string
+	run func() (*Table, error)
+}
+
+// experiments lists every experiment in paper order, Figure 8 panels
+// included.
+func experiments() []experiment {
+	static := func(f func() *Table) func() (*Table, error) {
+		return func() (*Table, error) { return f(), nil }
+	}
+	exps := []experiment{
+		{"table1", static(Table1)}, {"table2", static(Table2)}, {"table3", static(Table3)},
+		{"fig3", static(Figure3)}, {"fig4", static(Figure4)},
+	}
+	for _, m := range []model.Config{model.Model1B3(), model.Model3B(), model.Model7B()} {
+		for _, cl := range costmodel.Clusters() {
+			exps = append(exps, experiment{figure8ID(m, cl), func() (*Table, error) { return Figure8(m, cl) }})
+		}
+	}
+	return append(exps,
+		experiment{"fig9", static(Figure9)}, experiment{"fig10", Figure10}, experiment{"fig11", Figure11},
+		experiment{"chunk", ChunkedMLPTable}, experiment{"saturation", MicroBatchSaturation},
+		experiment{"interleaved", InterleavedComparison}, experiment{"zb1p-sensitivity", ZB1PSensitivity})
+}
+
+// Select runs, in paper order, only the experiments whose table ID starts
+// with prefix; the empty prefix selects every one.
+func Select(prefix string) ([]*Table, error) {
 	var out []*Table
-	out = append(out, Table1(), Table2(), Table3(), Figure3(), Figure4())
-	figs8, err := Figure8All()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, figs8...)
-	f9 := Figure9()
-	out = append(out, f9)
-	f10, err := Figure10()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f10)
-	f11, err := Figure11()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f11)
-	for _, fn := range []func() (*Table, error){ChunkedMLPTable, MicroBatchSaturation, InterleavedComparison, ZB1PSensitivity} {
-		tbl, err := fn()
+	for _, e := range experiments() {
+		if !strings.HasPrefix(e.id, prefix) {
+			continue
+		}
+		t, err := e.run()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, tbl)
+		out = append(out, t)
 	}
 	return out, nil
 }
+
+// All runs every experiment and returns the tables in paper order.
+func All() ([]*Table, error) { return Select("") }

@@ -93,25 +93,17 @@ func (s Scenario) Workload() costmodel.Workload {
 	return costmodel.NewWorkload(s.Model, s.Cluster, model.Shape{B: s.MicroBatch, S: s.SeqLen})
 }
 
-// MemoryBudget returns the per-GPU activation budget handed to AdaPipe: the
-// GPU capacity minus model states and a 10% allocator reserve.
+// MemoryBudget returns the per-GPU activation budget handed to AdaPipe.
 func (s Scenario) MemoryBudget() int64 {
-	gpu := int64(s.Cluster.GPU.MemoryGB * 0.9 * float64(1<<30))
-	return gpu - s.Model.ModelStateBytesPerStage(s.Stages, s.Cluster.GPUsPerNode) -
-		s.Model.EmbeddingStateBytes(s.Cluster.GPUsPerNode)
+	return costmodel.ActivationBudget(s.Model, s.Cluster, s.Stages)
 }
 
-// BuildPlan builds the plan for any registered method through the sched
-// method registry.
-func (s Scenario) BuildPlan(method sched.Method) (*sched.Plan, error) {
+// Simulate builds one registered method's plan for the scenario through the
+// sched method registry and simulates it.
+func (s Scenario) Simulate(method sched.Method) (*sim.Result, error) {
 	cfg := sched.Config{Stages: s.Stages, MicroBatches: s.MicroBatches, Layers: s.Model.Layers}
 	costs := sched.NewCosts(s.Workload())
-	return sched.Build(method, cfg, costs, sched.BuildParams{MemoryBudget: s.MemoryBudget()})
-}
-
-// Simulate builds and simulates one method for the scenario.
-func (s Scenario) Simulate(method sched.Method) (*sim.Result, error) {
-	plan, err := s.BuildPlan(method)
+	plan, err := sched.Build(method, cfg, costs, sched.BuildParams{MemoryBudget: s.MemoryBudget()})
 	if err != nil {
 		return nil, err
 	}

@@ -215,3 +215,45 @@ func TestMicroBatchSaturationShrinksBubble(t *testing.T) {
 		t.Errorf("1F1B bubble fraction should shrink with more micro batches: %v -> %v", first, last)
 	}
 }
+
+// TestSelectByTableID pins what makes the experiment selector lazy and still
+// exact: each table entry's ID is the ID of the table it renders, so
+// filtering by entry ID before running selects the same tables, in the same
+// order, as running everything and filtering the results.
+func TestSelectByTableID(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	all, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := experiments()
+	if len(all) != len(exps) {
+		t.Fatalf("All returned %d tables for %d experiments", len(all), len(exps))
+	}
+	for i, e := range exps {
+		if all[i].ID != e.id {
+			t.Errorf("experiment %d is listed as %q but renders %q", i, e.id, all[i].ID)
+		}
+	}
+	for _, prefix := range []string{"fig1", "fig8-", "table3", "zb1p", "nomatch"} {
+		got, err := Select(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, tbl := range all {
+			if strings.HasPrefix(tbl.ID, prefix) {
+				want = append(want, tbl.ID)
+			}
+		}
+		var ids []string
+		for _, tbl := range got {
+			ids = append(ids, tbl.ID)
+		}
+		if strings.Join(ids, ",") != strings.Join(want, ",") {
+			t.Errorf("Select(%q) = %v, want %v", prefix, ids, want)
+		}
+	}
+}

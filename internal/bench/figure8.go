@@ -21,7 +21,7 @@ var (
 // the paper's bars.
 func Figure8(m model.Config, cl costmodel.ClusterSpec) (*Table, error) {
 	t := &Table{
-		ID:     fmt.Sprintf("fig8-%s-%s", m.Name, cl.Name),
+		ID:     figure8ID(m, cl),
 		Title:  fmt.Sprintf("Normalized throughput, %s model on %s (paper Figure 8)", m.Name, cl.Name),
 		Header: []string{"Seq len", "PP", "1F1B", "ZB1P", "AdaPipe", "HelixPipe", "Helix vs best baseline"},
 	}
@@ -58,20 +58,13 @@ func Figure8(m model.Config, cl costmodel.ClusterSpec) (*Table, error) {
 	return t, nil
 }
 
-// Figure8All runs every Figure 8 panel: three models by two clusters.
-func Figure8All() ([]*Table, error) {
-	var out []*Table
-	for _, m := range []model.Config{model.Model1B3(), model.Model3B(), model.Model7B()} {
-		for _, cl := range costmodel.Clusters() {
-			t, err := Figure8(m, cl)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, t)
-		}
-	}
-	return out, nil
+// figure8ID is the table ID of one Figure 8 panel.
+func figure8ID(m model.Config, cl costmodel.ClusterSpec) string {
+	return fmt.Sprintf("fig8-%s-%s", m.Name, cl.Name)
 }
+
+// Figure8All runs every Figure 8 panel: three models by two clusters.
+func Figure8All() ([]*Table, error) { return Select("fig8-") }
 
 // Figure10 reproduces paper Figure 10: per-stage peak memory (model states
 // plus measured activation stash) for the 3B model at 128k on 8 stages.

@@ -296,3 +296,22 @@ func TestAnalyzeTable2(t *testing.T) {
 		t.Error("HelixPipe must have a smaller bubble than ZB1P at 128k")
 	}
 }
+
+// TestActivationBudget pins the budget every budget-aware schedule is built
+// under; the values are the ones the experiment harness used before the
+// formula moved here.
+func TestActivationBudget(t *testing.T) {
+	for _, tc := range []struct {
+		m      model.Config
+		cl     ClusterSpec
+		stages int
+		want   int64
+	}{
+		{model.Model7B(), H20Cluster(), 8, 90748459417},
+		{model.Model3B(), A800Cluster(), 4, 75286577152},
+	} {
+		if got := ActivationBudget(tc.m, tc.cl, tc.stages); got != tc.want {
+			t.Errorf("%s/%s/p=%d: budget %d, want %d", tc.m.Name, tc.cl.Name, tc.stages, got, tc.want)
+		}
+	}
+}

@@ -71,6 +71,16 @@ func NewWorkload(m model.Config, cl ClusterSpec, sh model.Shape) Workload {
 	return Workload{Model: m, Cluster: cl, Shape: sh, SeqPar: cl.GPUsPerNode}
 }
 
+// ActivationBudget returns the per-GPU activation budget handed to
+// budget-aware schedules for a model pipelined over stages nodes of a
+// cluster: 90% of the GPU capacity (a 10% allocator reserve) minus the
+// per-stage model states and the embedding states.
+func ActivationBudget(m model.Config, cl ClusterSpec, stages int) int64 {
+	gpu := int64(cl.GPU.MemoryGB * 0.9 * float64(1<<30))
+	return gpu - m.ModelStateBytesPerStage(stages, cl.GPUsPerNode) -
+		m.EmbeddingStateBytes(cl.GPUsPerNode)
+}
+
 // Validate reports an error when the workload is inconsistent.
 func (w Workload) Validate() error {
 	if err := w.Model.Validate(); err != nil {

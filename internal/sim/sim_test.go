@@ -16,9 +16,7 @@ func buildAll(t *testing.T, w costmodel.Workload, p, m int) map[sched.Method]*sc
 	t.Helper()
 	costs := sched.NewCosts(w)
 	cfg := sched.Config{Stages: p, MicroBatches: m, Layers: w.Model.Layers}
-	budget := int64(w.Cluster.GPU.MemoryGB*0.9*float64(1<<30)) -
-		w.Model.ModelStateBytesPerStage(p, w.Cluster.GPUsPerNode) -
-		w.Model.EmbeddingStateBytes(w.Cluster.GPUsPerNode)
+	budget := costmodel.ActivationBudget(w.Model, w.Cluster, p)
 	plans := map[sched.Method]*sched.Plan{}
 	var err error
 	if plans[sched.Method1F1B], err = sched.OneFOneB(cfg, costs); err != nil {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/exec"
@@ -436,7 +435,7 @@ func (s *Session) MemoryBudget() int64 {
 	if s.memExplicit {
 		return s.memBudget
 	}
-	return s.scenario().MemoryBudget()
+	return costmodel.ActivationBudget(s.model, s.cluster, s.stages)
 }
 
 // TokensPerIteration returns the tokens one iteration processes: the
@@ -463,19 +462,6 @@ func (s *Session) SimOptions() SimOptions {
 		opt.Topology = s.resolvedTopo
 	}
 	return opt
-}
-
-// scenario bridges to the internal experiment harness for its derived
-// quantities.
-func (s *Session) scenario() bench.Scenario {
-	return bench.Scenario{
-		Model:        s.model,
-		Cluster:      s.cluster,
-		SeqLen:       s.SeqLen(),
-		MicroBatch:   s.MicroBatchSize(),
-		Stages:       s.stages,
-		MicroBatches: s.MicroBatches(),
-	}
 }
 
 // buildParams assembles the registry build parameters from the session.
