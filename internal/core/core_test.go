@@ -1,8 +1,15 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -294,5 +301,168 @@ func TestHelixCommVolume(t *testing.T) {
 	want := 2*cfg.Layers*m - 2*cfg.Layers*(m/cfg.Stages)
 	if sends != want {
 		t.Errorf("forward sends = %d, want %d", sends, want)
+	}
+}
+
+// referenceSchedule is the list scheduler the ready list replaced: every
+// step rescans all tasks in (key, id) order, skips the done ones and those
+// with an unfinished prerequisite, and runs the first with the earliest
+// start. It is quadratic in the task count.
+func referenceSchedule(b *helixBuilder) error {
+	p := b.cfg.Stages
+	b.ops = make([][]sched.Op, p)
+	b.arrival = make([]float64, 4*b.cfg.MicroBatches*b.cfg.Layers)
+	b.clock = make([]float64, p)
+	b.sendFree = make([]float64, p)
+	b.recvFree = make([]float64, p)
+	done := make([]bool, len(b.tasks))
+	order := make([]int, len(b.tasks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, c := b.tasks[order[i]], b.tasks[order[j]]
+		if a.key != c.key {
+			return lessKey(a.key, c.key)
+		}
+		return a.id < c.id
+	})
+	for remaining := len(b.tasks); remaining > 0; remaining-- {
+		bestIdx, bestStart := -1, math.MaxFloat64
+		for _, id := range order {
+			t := &b.tasks[id]
+			if done[id] {
+				continue
+			}
+			ready := true
+			for _, pre := range t.prereqs {
+				if !done[pre] {
+					ready = false
+					break
+				}
+			}
+			if !ready {
+				continue
+			}
+			start := math.Max(b.clock[t.stage], b.firstInputArrival(t))
+			if start < bestStart-1e-15 {
+				bestIdx, bestStart = id, start
+			}
+		}
+		if bestIdx < 0 {
+			return fmt.Errorf("reference scheduler wedged with %d tasks remaining", remaining)
+		}
+		b.runTask(&b.tasks[bestIdx])
+		done[bestIdx] = true
+	}
+	return nil
+}
+
+// TestReadyListMatchesReferenceScan pins the ready-list scheduler to the
+// quadratic candidate scan: both must emit identical programs for every
+// variant, pipeline size and micro-batch count, on flat, variable-length
+// and placed heterogeneous cost books (the last varies StageMB per stage).
+// It also checks each stage's op slice was allocated at its final size.
+func TestReadyListMatchesReferenceScan(t *testing.T) {
+	w := costmodel.NewWorkload(model.Model3B(), costmodel.A800Cluster(), model.Shape{B: 1, S: 16384})
+	books := map[string]func(p, m int) (sched.Costs, model.BatchSpec){
+		"flat": func(p, m int) (sched.Costs, model.BatchSpec) { return sched.NewCosts(w), model.BatchSpec{} },
+		"varlen": func(p, m int) (sched.Costs, model.BatchSpec) {
+			spec := model.BatchSpec{Shapes: make([]model.Shape, m)}
+			for i := range spec.Shapes {
+				spec.Shapes[i] = model.Shape{B: 1, S: 4096 << (i * 5 % 4)}
+			}
+			return sched.NewBatchCosts(w, spec), spec
+		},
+		"placed": func(p, m int) (sched.Costs, model.BatchSpec) {
+			c := cluster.DGXA800x2H20x2()
+			devs := make([]int, p)
+			for i := range devs {
+				devs[i] = i * 5 % c.Devices() // spread over both device generations
+			}
+			topo, err := cluster.Resolve(c, cluster.Placement{Devices: devs}, cluster.Perturb{SlowDevice: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sched.NewPlacedCosts(w, topo), model.BatchSpec{}
+		},
+	}
+	for name, book := range books {
+		for _, fold := range []int{1, 2} {
+			for _, recompute := range []bool{true, false} {
+				for _, p := range []int{2, 4, 8} {
+					for _, m := range []int{fold * p, 2 * fold * p} {
+						costs, spec := book(p, m)
+						cfg := sched.Config{Stages: p, MicroBatches: m, Layers: 16, Batch: spec}
+						opt := Options{Fold: fold, Recompute: recompute}
+						label := fmt.Sprintf("%s fold=%d recompute=%v p=%d m=%d", name, fold, recompute, p, m)
+						plan, err := Build(cfg, costs, opt)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						ref := &helixBuilder{cfg: cfg, costs: costs, opt: opt}
+						ref.buildTasks()
+						if err := referenceSchedule(ref); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !reflect.DeepEqual(plan.Ops, ref.ops) {
+							t.Errorf("%s: ready-list plan differs from the reference scan", label)
+						}
+						for s, ops := range plan.Ops {
+							if len(ops) != cap(ops) {
+								t.Errorf("%s: stage %d holds %d ops in a slice sized %d", label, s, len(ops), cap(ops))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkHelixBuild measures HelixPipe plan construction on the paper's
+// 3B/A800 configuration at 64k (p=8, m=16), the plan the engine and
+// validator benchmarks use. The alloc-gate CI step pins its allocs/op to
+// testdata/alloc_budget.json.
+func BenchmarkHelixBuild(b *testing.B) {
+	cfg, costs := helixBuildInputs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(cfg, costs, DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func helixBuildInputs() (sched.Config, sched.Costs) {
+	mc := model.Model3B()
+	w := costmodel.NewWorkload(mc, costmodel.A800Cluster(), model.Shape{B: 1, S: 65536})
+	return sched.Config{Stages: 8, MicroBatches: 16, Layers: mc.Layers}, sched.NewCosts(w)
+}
+
+// TestHelixBuildAllocBudget enforces helix_build_allocs_per_op of
+// testdata/alloc_budget.json in-process; CI's alloc gate re-checks it from
+// BenchmarkHelixBuild's -benchmem output.
+func TestHelixBuildAllocBudget(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget struct {
+		HelixBuildAllocsPerOp float64 `json:"helix_build_allocs_per_op"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	cfg, costs := helixBuildInputs()
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := Build(cfg, costs, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget.HelixBuildAllocsPerOp {
+		t.Errorf("helix build allocates %.1f allocs/op, budget %.1f (testdata/alloc_budget.json)",
+			got, budget.HelixBuildAllocsPerOp)
 	}
 }

@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -145,10 +146,8 @@ type helixBuilder struct {
 	ops   [][]sched.Op
 
 	// scheduling state
-	arrival map[sched.Tag]float64
+	arrival []float64 // message arrival estimates, indexed by arrivalSlot
 	clock   []float64
-	done    []bool
-	endAt   []float64
 	// NIC availability per stage (full duplex), mirrored from the
 	// simulator so arrival estimates account for link contention and the
 	// emitted program order matches true arrival order.
@@ -169,24 +168,30 @@ func (b *helixBuilder) buildTasks() {
 	fold := b.opt.Fold
 	loopSize := fold * p
 	loops := m / loopSize
+	totalGroups := m / fold
+	b.tasks = make([]hTask, 0, 2*((L+1)*totalGroups+L*m))
 
 	// Task id lookup tables.
-	unitF := make([][]int, L+1) // [unit][group] -> task id
-	attnF := make([][]int, L)   // [layer][mb] -> task id
-	for u := range unitF {
-		unitF[u] = make([]int, m/fold)
+	unitF := make([]int, (L+1)*totalGroups) // [unit*totalGroups+group] -> task id
+	attnF := make([]int, L*m)               // [layer*m+mb] -> task id
+	// Every task's micro batches are a window of one shared slice: group g
+	// forward is fwdMBs[g*fold:][:fold], its reversed backward revMBs
+	// likewise, and a single micro batch mb is fwdMBs[mb:mb+1].
+	fwdMBs := make([]int, m)
+	revMBs := make([]int, m)
+	for mb := range fwdMBs {
+		fwdMBs[mb] = mb
+		g := mb / fold
+		revMBs[g*fold+fold-1-mb%fold] = mb
 	}
-	for l := range attnF {
-		attnF[l] = make([]int, m)
-	}
-	groupMBs := func(g int) []int {
-		mbs := make([]int, fold)
-		for i := range mbs {
-			mbs[i] = g*fold + i
-		}
-		return mbs
-	}
-	totalGroups := m / fold
+	groupMBs := func(g int) []int { return fwdMBs[g*fold : (g+1)*fold : (g+1)*fold] }
+	oneMB := func(mb int) []int { return fwdMBs[mb : mb+1 : mb+1] }
+	// Prerequisite lists are windows of one slab too, sized for every
+	// task's prerequisites: fold per forward unit (L of them per group), one
+	// per forward attention, fold+1 per backward unit (one for unit L) and
+	// two per backward attention.
+	pre := make([]int, 0, 5*L*m+(L+1)*totalGroups)
+	window := func(start int) []int { return pre[start:len(pre):len(pre)] }
 
 	// Forward unit and attention tasks.
 	for u := 0; u <= L; u++ {
@@ -201,11 +206,13 @@ func (b *helixBuilder) buildTasks() {
 				key:   [4]int{0, loop, 2 * u, gInLoop},
 			}
 			if u > 0 {
+				start := len(pre)
 				for _, mb := range t.mbs {
-					t.prereqs = append(t.prereqs, attnF[u-1][mb])
+					pre = append(pre, attnF[(u-1)*m+mb])
 				}
+				t.prereqs = window(start)
 			}
-			unitF[u][g] = b.addTask(t)
+			unitF[u*totalGroups+g] = b.addTask(t)
 		}
 		if u == L {
 			break
@@ -213,54 +220,45 @@ func (b *helixBuilder) buildTasks() {
 		for g := 0; g < totalGroups; g++ {
 			for _, mb := range groupMBs(g) {
 				loop := mb / loopSize
+				start := len(pre)
+				pre = append(pre, unitF[u*totalGroups+g])
 				t := hTask{
 					kind:    tAttnF,
 					unit:    u,
-					mbs:     []int{mb},
+					mbs:     oneMB(mb),
 					stage:   AttnStage(u, mb, p),
 					key:     [4]int{0, loop, 2*u + 1, mb % loopSize},
-					prereqs: []int{unitF[u][g]},
+					prereqs: window(start),
 				}
-				attnF[u][mb] = b.addTask(t)
+				attnF[u*m+mb] = b.addTask(t)
 			}
 		}
 	}
 
 	// Backward: FILO — loops in reverse, micro batches in reverse.
-	unitB := make([][]int, L+1)
-	attnB := make([][]int, L)
-	for u := range unitB {
-		unitB[u] = make([]int, totalGroups)
-	}
-	for l := range attnB {
-		attnB[l] = make([]int, m)
-	}
+	unitB := make([]int, (L+1)*totalGroups)
+	attnB := make([]int, L*m)
 	invLoop := func(loop int) int { return loops - 1 - loop }
 	for u := L; u >= 0; u-- {
 		for g := totalGroups - 1; g >= 0; g-- {
 			loop := (g * fold) / loopSize
 			gInLoop := g % p
-			mbs := groupMBs(g)
-			rev := make([]int, len(mbs))
-			for i, mb := range mbs {
-				rev[len(mbs)-1-i] = mb
-			}
 			t := hTask{
 				kind:  tUnitB,
 				unit:  u,
-				mbs:   rev,
+				mbs:   revMBs[g*fold : (g+1)*fold : (g+1)*fold],
 				stage: UnitOwner(u, p),
 				key:   [4]int{1, invLoop(loop), 2 * (L - u), p - 1 - gInLoop},
 			}
-			if u == L {
-				t.prereqs = append(t.prereqs, unitF[u][g])
-			} else {
+			start := len(pre)
+			if u < L {
 				for _, mb := range t.mbs {
-					t.prereqs = append(t.prereqs, attnB[u][mb])
+					pre = append(pre, attnB[u*m+mb])
 				}
-				t.prereqs = append(t.prereqs, unitF[u][g])
 			}
-			unitB[u][g] = b.addTask(t)
+			pre = append(pre, unitF[u*totalGroups+g])
+			t.prereqs = window(start)
+			unitB[u*totalGroups+g] = b.addTask(t)
 		}
 		if u == 0 {
 			break
@@ -271,15 +269,17 @@ func (b *helixBuilder) buildTasks() {
 			for i := len(mbs) - 1; i >= 0; i-- {
 				mb := mbs[i]
 				loop := mb / loopSize
+				start := len(pre)
+				pre = append(pre, unitB[u*totalGroups+g], attnF[l*m+mb])
 				t := hTask{
 					kind:    tAttnB,
 					unit:    l,
-					mbs:     []int{mb},
+					mbs:     oneMB(mb),
 					stage:   AttnStage(l, mb, p),
 					key:     [4]int{1, invLoop(loop), 2*(L-u) + 1, loopSize - 1 - mb%loopSize},
-					prereqs: []int{unitB[u][g], attnF[l][mb]},
+					prereqs: window(start),
 				}
-				attnB[l][mb] = b.addTask(t)
+				attnB[l*m+mb] = b.addTask(t)
 			}
 		}
 	}
@@ -287,19 +287,31 @@ func (b *helixBuilder) buildTasks() {
 
 // schedule orders the tasks with deterministic earliest-start greedy list
 // scheduling and emits the per-stage op programs.
+//
+// Each step runs the ready task with the earliest start, the first in
+// (key, id) order among equal starts. A task becomes ready once its last
+// prerequisite has run, and its first input's arrival is fixed from then
+// on, because that input's producer is one of its prerequisites. So a
+// step only needs to scan the ready list, which is kept in (key, id)
+// order.
 func (b *helixBuilder) schedule() error {
-	p := b.cfg.Stages
+	p, n := b.cfg.Stages, len(b.tasks)
 	b.ops = make([][]sched.Op, p)
-	b.arrival = map[sched.Tag]float64{}
+	counts := make([]int, p)
+	for i := range b.tasks {
+		counts[b.tasks[i].stage] += b.opCount(&b.tasks[i])
+	}
+	for s := range b.ops {
+		b.ops[s] = make([]sched.Op, 0, counts[s])
+	}
+	b.arrival = make([]float64, 4*b.cfg.MicroBatches*b.cfg.Layers)
 	b.clock = make([]float64, p)
-	b.done = make([]bool, len(b.tasks))
-	b.endAt = make([]float64, len(b.tasks))
 	b.sendFree = make([]float64, p)
 	b.recvFree = make([]float64, p)
 
-	remaining := len(b.tasks)
-	// Stable candidate iteration order: by key then id.
-	order := make([]int, len(b.tasks))
+	// Stable candidate order: by key then id. rank[id] is the task's
+	// position in it.
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
@@ -310,39 +322,60 @@ func (b *helixBuilder) schedule() error {
 		}
 		return a.id < c.id
 	})
+	rank := make([]int, n)
+	for r, id := range order {
+		rank[id] = r
+	}
 
-	for remaining > 0 {
-		bestIdx, bestStart := -1, math.MaxFloat64
-		for _, id := range order {
+	// Pending prerequisite counts, and successor lists in one slab:
+	// succ[succAt[id]:succAt[id+1]] are the tasks waiting on task id.
+	pending := make([]int, n)
+	succAt := make([]int, n+1)
+	for i := range b.tasks {
+		pending[i] = len(b.tasks[i].prereqs)
+		for _, pre := range b.tasks[i].prereqs {
+			succAt[pre+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		succAt[i+1] += succAt[i]
+	}
+	succ := make([]int, succAt[n])
+	fill := append([]int(nil), succAt[:n]...)
+	for i := range b.tasks {
+		for _, pre := range b.tasks[i].prereqs {
+			succ[fill[pre]] = i
+			fill[pre]++
+		}
+	}
+
+	ready := make([]int, 0, n)
+	for _, id := range order {
+		if pending[id] == 0 {
+			ready = append(ready, id)
+		}
+	}
+	for remaining := n; remaining > 0; remaining-- {
+		best, bestStart := -1, math.MaxFloat64
+		for i, id := range ready {
 			t := &b.tasks[id]
-			if b.done[id] {
-				continue
-			}
-			ready := true
-			depEnd := 0.0
-			for _, pre := range t.prereqs {
-				if !b.done[pre] {
-					ready = false
-					break
-				}
-				if b.endAt[pre] > depEnd {
-					depEnd = b.endAt[pre]
-				}
-			}
-			if !ready {
-				continue
-			}
 			start := math.Max(b.clock[t.stage], b.firstInputArrival(t))
 			if start < bestStart-1e-15 {
-				bestIdx, bestStart = id, start
+				best, bestStart = i, start
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			return fmt.Errorf("core: helix scheduling wedged with %d tasks remaining", remaining)
 		}
-		b.runTask(&b.tasks[bestIdx])
-		b.done[bestIdx] = true
-		remaining--
+		id := ready[best]
+		ready = slices.Delete(ready, best, best+1)
+		b.runTask(&b.tasks[id])
+		for _, next := range succ[succAt[id]:succAt[id+1]] {
+			if pending[next]--; pending[next] == 0 {
+				at := sort.Search(len(ready), func(i int) bool { return rank[ready[i]] > rank[next] })
+				ready = slices.Insert(ready, at, next)
+			}
+		}
 	}
 	return nil
 }
@@ -356,39 +389,82 @@ func lessKey(a, c [4]int) bool {
 	return false
 }
 
+// arrivalSlot returns the index of a helix message tag in b.arrival, which
+// is laid out as [mb][layer][bound][back]; helix messages cross only the
+// BoundPreAttn and BoundAttnPost boundaries.
+func (b *helixBuilder) arrivalSlot(tag sched.Tag) int {
+	i := ((tag.MB*b.cfg.Layers+tag.Layer)*2 + int(tag.Bound-sched.BoundPreAttn)) * 2
+	if tag.Back {
+		i++
+	}
+	return i
+}
+
 // firstInputArrival returns the arrival estimate of the task's first message
 // input, or 0 when it has none.
 func (b *helixBuilder) firstInputArrival(t *hTask) float64 {
-	tags := b.inputTags(t, t.mbs[0])
-	first := 0.0
-	for _, tag := range tags {
-		if a, ok := b.arrival[tag]; ok && a > first {
-			first = a
-		}
+	if tag, ok := b.inputTag(t, t.mbs[0]); ok {
+		return b.arrival[b.arrivalSlot(tag)]
 	}
-	return first
+	return 0
 }
 
-// inputTags returns the message tags one micro-batch piece of the task
-// consumes.
-func (b *helixBuilder) inputTags(t *hTask, mb int) []sched.Tag {
-	L := b.cfg.Layers
+// inputTag returns the message tag one micro-batch piece of the task
+// consumes, and false when the piece has no message input.
+func (b *helixBuilder) inputTag(t *hTask, mb int) (sched.Tag, bool) {
 	switch t.kind {
 	case tUnitF:
-		if t.unit == 0 {
-			return nil
-		}
-		return []sched.Tag{{MB: mb, Layer: t.unit - 1, Bound: sched.BoundAttnPost}}
+		return sched.Tag{MB: mb, Layer: t.unit - 1, Bound: sched.BoundAttnPost}, t.unit > 0
 	case tAttnF:
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn}}
+		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn}, true
 	case tUnitB:
-		if t.unit == L {
-			return nil
-		}
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn, Back: true}}
+		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn, Back: true}, t.unit < b.cfg.Layers
 	default: // tAttnB
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundAttnPost, Back: true}}
+		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundAttnPost, Back: true}, true
 	}
+}
+
+// opCount returns the number of ops the task emits on its stage, whatever
+// order the scheduler runs it in. It mirrors runUnitF, runAttn and
+// runUnitB: a recv or send is emitted only when the peer is another stage.
+func (b *helixBuilder) opCount(t *hTask) int {
+	L, p := b.cfg.Layers, b.cfg.Stages
+	remote := func(peer int) int {
+		if peer == t.stage {
+			return 0
+		}
+		return 1
+	}
+	if t.kind == tAttnF || t.kind == tAttnB {
+		return 1 + remote(PreOwner(t.unit, p)) + remote(PostOwner(t.unit, p))
+	}
+	n := 0
+	for _, mb := range t.mbs {
+		if t.kind == tUnitF {
+			n++ // embedding, or post-attention of layer unit-1
+			if t.unit > 0 {
+				n += remote(AttnStage(t.unit-1, mb, p))
+			}
+			if t.unit < L {
+				n += 1 + remote(AttnStage(t.unit, mb, p))
+			}
+			continue
+		}
+		if t.unit == L {
+			n += 2 // head FB and W
+		} else {
+			n += 2 + remote(AttnStage(t.unit, mb, p)) // gradient recv, pre-attention B and W
+		}
+		if t.unit > 0 {
+			n += 2 + remote(AttnStage(t.unit-1, mb, p)) // post-attention B and W, gradient send
+		} else {
+			n++ // embedding W
+		}
+		if b.opt.Recompute {
+			n += min(t.unit, 1) + min(L-t.unit, 1) // post- and pre-attention recompute
+		}
+	}
+	return n
 }
 
 // runTask emits the ops of a task and advances the builder clocks.
@@ -403,7 +479,6 @@ func (b *helixBuilder) runTask(t *hTask) {
 	default:
 		b.runAttn(t, true)
 	}
-	b.endAt[t.id] = b.clock[t.stage]
 }
 
 func (b *helixBuilder) emit(stage int, op sched.Op) { b.ops[stage] = append(b.ops[stage], op) }
@@ -414,13 +489,15 @@ func (b *helixBuilder) emit(stage int, op sched.Op) { b.ops[stage] = append(b.op
 // a pre/post owner whenever (l+mb+1) = l or l+1 mod p) the value is already
 // local and no communication op is emitted.
 func (b *helixBuilder) recvPiece(t *hTask, mb int, from int, clock float64) float64 {
-	for _, tag := range b.inputTags(t, mb) {
-		if from != t.stage {
-			b.emit(t.stage, sched.Op{Kind: sched.KRecv, MB: mb, Peer: from, Tag: tag})
-		}
-		if a, ok := b.arrival[tag]; ok && a > clock {
-			clock = a
-		}
+	tag, ok := b.inputTag(t, mb)
+	if !ok {
+		return clock
+	}
+	if from != t.stage {
+		b.emit(t.stage, sched.Op{Kind: sched.KRecv, MB: mb, Peer: from, Tag: tag})
+	}
+	if a := b.arrival[b.arrivalSlot(tag)]; a > clock {
+		clock = a
 	}
 	return clock
 }
@@ -432,7 +509,7 @@ func (b *helixBuilder) sendPiece(stage, mb, peer int, tag sched.Tag, clock float
 	if peer == stage {
 		// Co-located consumer: the value is available immediately, no
 		// transfer happens.
-		b.arrival[tag] = clock
+		b.arrival[b.arrivalSlot(tag)] = clock
 		return clock
 	}
 	blocking := b.opt.Fold == 1
@@ -457,7 +534,7 @@ func (b *helixBuilder) sendPiece(stage, mb, peer int, tag sched.Tag, clock float
 	arrival := end + b.costs.P2PLatency
 	b.sendFree[stage] = end
 	b.recvFree[peer] = end
-	b.arrival[tag] = arrival
+	b.arrival[b.arrivalSlot(tag)] = arrival
 	if blocking {
 		return arrival
 	}

@@ -13,8 +13,8 @@ import (
 type layerwise struct {
 	cfg    Config
 	costs  Costs
-	chunks [][]int        // chunks[stage] lists the stage's layer indices
-	recomp []map[int]bool // recomp[stage][layer]: fully recompute that layer
+	chunks [][]int  // chunks[stage] lists the stage's layer indices
+	recomp [][]bool // recomp[stage][layer]: fully recompute that layer
 	ops    [][]Op
 }
 
@@ -51,11 +51,12 @@ func newLayerwise(cfg Config, costs Costs, chunks [][]int) *layerwise {
 		cfg:    cfg,
 		costs:  costs,
 		chunks: chunks,
-		recomp: make([]map[int]bool, cfg.Stages),
+		recomp: make([][]bool, cfg.Stages),
 		ops:    make([][]Op, cfg.Stages),
 	}
+	flags := make([]bool, cfg.Stages*cfg.Layers)
 	for s := range lw.recomp {
-		lw.recomp[s] = map[int]bool{}
+		lw.recomp[s] = flags[s*cfg.Layers : (s+1)*cfg.Layers]
 	}
 	return lw
 }

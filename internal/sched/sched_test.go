@@ -444,3 +444,25 @@ func TestPlanAccessors(t *testing.T) {
 		t.Error("Methods() should list all implemented schedules")
 	}
 }
+
+// TestUnreceivedSendErrorDeterministic pins the "never received" error of a
+// plan with two unreceived messages: it must name the earliest such send in
+// (stage, program order) on every call, not whichever message a map
+// iteration happens to reach first.
+func TestUnreceivedSendErrorDeterministic(t *testing.T) {
+	plan, err := OneFOneB(testCfg(2, 2, 2), UnitCosts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stage 0 holds both micro batches' layer-1 activations by the end of
+	// its program, so it may send them again; stage 1 never receives them.
+	plan.Ops[0] = append(plan.Ops[0],
+		Op{Kind: KSend, MB: 1, Peer: 1, Tag: Tag{MB: 1, Layer: 1, Bound: BoundAct}},
+		Op{Kind: KSend, MB: 0, Peer: 1, Tag: Tag{MB: 0, Layer: 1, Bound: BoundAct}})
+	const want = "sched: message act/l1/mb1/f from 0 to 1 sent 1 times but never received"
+	for i := 0; i < 20; i++ {
+		if err := Validate(plan); err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %q", i, err, want)
+		}
+	}
+}

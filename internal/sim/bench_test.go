@@ -64,6 +64,25 @@ func BenchmarkEngineOneShot(b *testing.B) {
 	}
 }
 
+// BenchmarkValidate measures one full sched.Validate of the benchmark plan,
+// the validation every fresh sweep cell pays before it simulates. Validate
+// memoizes success on the plan, so each iteration validates a copy of the
+// never-validated plan. The alloc-gate CI step pins its allocs/op to the
+// budget in testdata/alloc_budget.json. (It lives here rather than in
+// internal/sched because building the helix plan links internal/core,
+// which that package's tests must not.)
+func BenchmarkValidate(b *testing.B) {
+	plan, _ := benchEngineInputs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := *plan
+		if err := sched.Validate(&fresh); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestRunnerReuseMatchesOneShot proves reset correctness: a reused Runner
 // must reproduce the one-shot result exactly, run after run.
 func TestRunnerReuseMatchesOneShot(t *testing.T) {
@@ -101,6 +120,7 @@ func TestRunnerReuseMatchesOneShot(t *testing.T) {
 type allocBudget struct {
 	EngineSteadyStateAllocsPerOp float64 `json:"engine_steady_state_allocs_per_op"`
 	EngineColdRunAllocsPerOp     float64 `json:"engine_cold_run_allocs_per_op"`
+	ValidateAllocsPerOp          float64 `json:"validate_allocs_per_op"`
 }
 
 // readAllocBudget loads the pinned budget file shared with the CI gate.
@@ -164,6 +184,25 @@ func TestEngineColdRunAllocBudget(t *testing.T) {
 	if got > budget.EngineColdRunAllocsPerOp {
 		t.Errorf("cold-start sim.Run allocates %.1f allocs/op, budget %.1f (testdata/alloc_budget.json)",
 			got, budget.EngineColdRunAllocsPerOp)
+	}
+}
+
+// TestValidateAllocBudget pins sched.Validate on the benchmark plan: with
+// its scratch pooled, a full validation may allocate no more than the
+// budget file allows. The CI alloc-gate re-checks the same contract from
+// BenchmarkValidate's -benchmem output.
+func TestValidateAllocBudget(t *testing.T) {
+	budget := readAllocBudget(t)
+	plan, _ := benchEngineInputs(t)
+	got := testing.AllocsPerRun(20, func() {
+		fresh := *plan
+		if err := sched.Validate(&fresh); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget.ValidateAllocsPerOp {
+		t.Errorf("sched.Validate allocates %.1f allocs/op, budget %.1f (testdata/alloc_budget.json)",
+			got, budget.ValidateAllocsPerOp)
 	}
 }
 
