@@ -396,13 +396,6 @@ func ClusterByName(name string) (ClusterSpec, bool) {
 // Methods lists every registered pipeline parallelism, baselines first.
 func Methods() []Method { return sched.Methods() }
 
-// NewCosts builds the cost book of a workload.
-func NewCosts(w Workload) Costs { return sched.NewCosts(w) }
-
-// NewBatchCosts builds the per-micro-batch cost book of a variable-length
-// workload: micro batch i is costed at spec.Shapes[i].
-func NewBatchCosts(w Workload, spec BatchSpec) Costs { return sched.NewBatchCosts(w, spec) }
-
 // UnitCosts returns the didactic 1:3:2 cost book of the paper's figures.
 func UnitCosts(commTime float64) Costs { return sched.UnitCosts(commTime) }
 

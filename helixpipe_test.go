@@ -122,7 +122,7 @@ func TestPublicAPIMisc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if NewCosts(s.Workload()).LayerDur(0) <= 0 {
+	if s.Costs().LayerDur(0) <= 0 {
 		t.Error("cost book broken")
 	}
 }

@@ -142,7 +142,7 @@ func ZB1PSensitivity() (*Table, error) {
 		Notes:  []string{"delaying W fills bubbles only as long as there is enough W work: small W shares leave ZB1P close to 1F1B"},
 	}
 	s := NewScenario(model.Model7B(), costmodel.H20Cluster(), 65536, 4)
-	baseCosts := sched.NewCosts(s.Workload())
+	baseCosts := sched.NewCosts(s.Workload(), model.BatchSpec{}, nil)
 	cfg := sched.Config{Stages: s.Stages, MicroBatches: s.MicroBatches, Layers: s.Model.Layers}
 	for _, share := range []float64{0.1, 0.33, 0.5} {
 		costs := baseCosts

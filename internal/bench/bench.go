@@ -102,7 +102,7 @@ func (s Scenario) MemoryBudget() int64 {
 // sched method registry and simulates it.
 func (s Scenario) Simulate(method sched.Method) (*sim.Result, error) {
 	cfg := sched.Config{Stages: s.Stages, MicroBatches: s.MicroBatches, Layers: s.Model.Layers}
-	costs := sched.NewCosts(s.Workload())
+	costs := sched.NewCosts(s.Workload(), model.BatchSpec{}, nil)
 	plan, err := sched.Build(method, cfg, costs, sched.BuildParams{MemoryBudget: s.MemoryBudget()})
 	if err != nil {
 		return nil, err

@@ -20,6 +20,8 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"repro/internal/costmodel"
 )
 
 // LinkClass names a class of interconnect. Every transfer in a simulated
@@ -309,31 +311,31 @@ func uniformCluster(name, gpu string, nodes, devices int, intra, inter Link) Clu
 	return c
 }
 
-// NVLinkA800 is the A800 intra-node fabric (400 GB/s NVLink, halved per
-// export restrictions to 200 GB/s lanes as in the costmodel GPU spec).
-func nvlinkA800() Link { return Link{Class: ClassNVLink, GBps: 200, LatencySec: 6e-6} }
+// nvlinkOf and ibOf take a preset's intra- and inter-node links from a
+// costmodel testbed (A800: 200 GB/s NVLink lanes, four 100 Gb/s HDR HCAs
+// per node; H20: Hopper NVLink, four 200 Gb/s NDR HCAs), so the flat and
+// topology models price the paper's hardware from one set of constants.
+func nvlinkOf(cl costmodel.ClusterSpec) Link {
+	return Link{Class: ClassNVLink, GBps: cl.GPU.NVLinkGBps, LatencySec: cl.NVLinkLatency}
+}
 
-// nvlinkH20 is the Hopper-class NVLink fabric of the H20.
-func nvlinkH20() Link { return Link{Class: ClassNVLink, GBps: 450, LatencySec: 6e-6} }
-
-// ibA800 matches the costmodel A800 testbed: four 100 Gb/s HDR HCAs per node
-// at 0.92 transport efficiency.
-func ibA800() Link { return Link{Class: ClassIB, GBps: 4 * 12.5 * 0.92, LatencySec: 14e-6} }
-
-// ibH20 matches the costmodel H20 testbed: four 200 Gb/s NDR HCAs per node.
-func ibH20() Link { return Link{Class: ClassIB, GBps: 4 * 25.0 * 0.92, LatencySec: 12e-6} }
+func ibOf(cl costmodel.ClusterSpec) Link {
+	return Link{Class: ClassIB, GBps: cl.InterNodeGBps, LatencySec: cl.InterNodeLatency}
+}
 
 // DGXA800x4 returns a 4-node cluster of 8-GPU A800 nodes: NVLink inside each
 // node, HDR InfiniBand between nodes — the multi-node shape of the paper's
 // A800 testbed.
 func DGXA800x4() Cluster {
-	return uniformCluster("DGX-A800x4", "A800", 4, 8, nvlinkA800(), ibA800())
+	a800 := costmodel.A800Cluster()
+	return uniformCluster("DGX-A800x4", "A800", 4, 8, nvlinkOf(a800), ibOf(a800))
 }
 
 // DGXH20x2 returns a 2-node cluster of 8-GPU H20 nodes: Hopper NVLink inside
 // each node, NDR InfiniBand between them.
 func DGXH20x2() Cluster {
-	return uniformCluster("DGX-H20x2", "H20", 2, 8, nvlinkH20(), ibH20())
+	h20 := costmodel.H20Cluster()
+	return uniformCluster("DGX-H20x2", "H20", 2, 8, nvlinkOf(h20), ibOf(h20))
 }
 
 // PCIeBox returns a single commodity node: 8 A800-class devices behind a
@@ -350,19 +352,20 @@ func PCIeBox() Cluster {
 // heterogeneous testbed of the placement-resolved cost books: the same stage
 // prices differently depending on which generation it lands on.
 func DGXA800x2H20x2() Cluster {
-	c := Cluster{Name: "DGX-A800x2-H20x2", GPU: "A800", Inter: ibA800()}
+	a800, h20 := costmodel.A800Cluster(), costmodel.H20Cluster()
+	c := Cluster{Name: "DGX-A800x2-H20x2", GPU: "A800", Inter: ibOf(a800)}
 	for i := 0; i < 2; i++ {
 		c.Nodes = append(c.Nodes, Node{
 			Name:    fmt.Sprintf("a800-%d", i),
 			Devices: 8,
-			Intra:   nvlinkA800(),
+			Intra:   nvlinkOf(a800),
 		})
 	}
 	for i := 0; i < 2; i++ {
 		c.Nodes = append(c.Nodes, Node{
 			Name:    fmt.Sprintf("h20-%d", i),
 			Devices: 8,
-			Intra:   nvlinkH20(),
+			Intra:   nvlinkOf(h20),
 			GPU:     "H20",
 		})
 	}

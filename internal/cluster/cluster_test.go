@@ -231,7 +231,28 @@ func TestPerturbParseAndValidate(t *testing.T) {
 			t.Errorf("perturb %q validated", bad)
 		}
 	}
-	for _, malformed := range []string{"slow=3", "bogus=1", "jitter=x", "slow=ax2"} {
+	// Non-finite factors parse (strconv.ParseFloat accepts them) but must
+	// fail validation with an error naming the clause.
+	for bad, clause := range map[string]string{
+		"link=ibxNaN":               "link",
+		"link=ibx+Inf":              "link",
+		"jitter=+Inf":               "jitter",
+		"jitter=NaN":                "jitter",
+		"jitter=-Inf":               "jitter",
+		"slow=3xNaN":                "slow",
+		"slow=3x+Inf":               "slow",
+		"slow=3x1e300,jitter=1e300": "jitter",
+	} {
+		p, err := ParsePerturb(bad)
+		if err != nil {
+			t.Errorf("perturb %q: parse error %v, want a validation error", bad, err)
+			continue
+		}
+		if err := p.Validate(c); err == nil || !strings.Contains(err.Error(), clause) {
+			t.Errorf("perturb %q: validation error %v, want one naming %q", bad, err, clause)
+		}
+	}
+	for _, malformed := range []string{"slow=3", "bogus=1", "jitter=x", "slow=ax2", "link=x0.5"} {
 		if _, err := ParsePerturb(malformed); err == nil {
 			t.Errorf("perturb %q parsed", malformed)
 		}

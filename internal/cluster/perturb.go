@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -49,6 +50,20 @@ func (p Perturb) Apply(l Link) Link {
 // Validate reports an error when the perturbation is not meaningful on the
 // cluster.
 func (p Perturb) Validate(c Cluster) error {
+	// Every comparison below is false for NaN, and an infinite factor makes
+	// a free link or an infinite iteration, so non-finite values stop here.
+	for _, f := range []struct {
+		clause string
+		v      float64
+	}{{"slow", p.SlowFactor}, {"link", p.DegradeFactor}, {"jitter", p.Jitter}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cluster: perturb %s factor must be finite, got %g", f.clause, f.v)
+		}
+	}
+	if math.IsInf(max(p.SlowFactor, 1)*(1+p.Jitter), 0) {
+		return fmt.Errorf("cluster: perturb slow factor %g with jitter %g overflows the compute stretch",
+			p.SlowFactor, p.Jitter)
+	}
 	if p.SlowFactor > 1 {
 		if p.SlowDevice < 0 || p.SlowDevice >= c.Devices() {
 			return fmt.Errorf("cluster: perturb slow device %d out of range on %s (%d devices)",
@@ -143,7 +158,7 @@ func ParsePerturb(s string) (Perturb, error) {
 			p.SlowDevice, p.SlowFactor = d, f
 		case "link":
 			class, factor, ok := strings.Cut(val, "x")
-			if !ok {
+			if !ok || class == "" {
 				return Perturb{}, fmt.Errorf("cluster: perturb link wants <class>x<factor>, got %q", val)
 			}
 			f, err := strconv.ParseFloat(factor, 64)

@@ -21,7 +21,7 @@ func testCosts(t *testing.T) sched.Costs {
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return sched.NewCosts(w)
+	return sched.NewCosts(w, model.BatchSpec{}, nil)
 }
 
 func TestPlacement(t *testing.T) {
@@ -366,13 +366,15 @@ func referenceSchedule(b *helixBuilder) error {
 func TestReadyListMatchesReferenceScan(t *testing.T) {
 	w := costmodel.NewWorkload(model.Model3B(), costmodel.A800Cluster(), model.Shape{B: 1, S: 16384})
 	books := map[string]func(p, m int) (sched.Costs, model.BatchSpec){
-		"flat": func(p, m int) (sched.Costs, model.BatchSpec) { return sched.NewCosts(w), model.BatchSpec{} },
+		"flat": func(p, m int) (sched.Costs, model.BatchSpec) {
+			return sched.NewCosts(w, model.BatchSpec{}, nil), model.BatchSpec{}
+		},
 		"varlen": func(p, m int) (sched.Costs, model.BatchSpec) {
 			spec := model.BatchSpec{Shapes: make([]model.Shape, m)}
 			for i := range spec.Shapes {
 				spec.Shapes[i] = model.Shape{B: 1, S: 4096 << (i * 5 % 4)}
 			}
-			return sched.NewBatchCosts(w, spec), spec
+			return sched.NewCosts(w, spec, nil), spec
 		},
 		"placed": func(p, m int) (sched.Costs, model.BatchSpec) {
 			c := cluster.DGXA800x2H20x2()
@@ -384,7 +386,7 @@ func TestReadyListMatchesReferenceScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return sched.NewPlacedCosts(w, topo), model.BatchSpec{}
+			return sched.NewCosts(w, model.BatchSpec{}, topo), model.BatchSpec{}
 		},
 	}
 	for name, book := range books {
@@ -438,7 +440,7 @@ func BenchmarkHelixBuild(b *testing.B) {
 func helixBuildInputs() (sched.Config, sched.Costs) {
 	mc := model.Model3B()
 	w := costmodel.NewWorkload(mc, costmodel.A800Cluster(), model.Shape{B: 1, S: 65536})
-	return sched.Config{Stages: 8, MicroBatches: 16, Layers: mc.Layers}, sched.NewCosts(w)
+	return sched.Config{Stages: 8, MicroBatches: 16, Layers: mc.Layers}, sched.NewCosts(w, model.BatchSpec{}, nil)
 }
 
 // TestHelixBuildAllocBudget enforces helix_build_allocs_per_op of

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/model"
 )
@@ -64,7 +65,7 @@ type Costs struct {
 	// flat cluster-global books — the pre-placement behavior. When present,
 	// the simulator must not stretch compute by topology factors again; the
 	// books already carry them.
-	PerStage []StageBook
+	PerStage []Costs
 	// P2PLatency and P2PBytesPerSec parameterize inter-stage links (shared by
 	// all micro batches; the hardware does not change per message).
 	P2PLatency     float64
@@ -76,31 +77,24 @@ type Costs struct {
 // with MeanMB: both answer "no overrides, or an out-of-range request" with
 // the embedded book.
 func (c Costs) MB(mb int) MBCosts {
-	if book, ok := c.override(mb); ok {
-		return book
+	if mb >= 0 && mb < len(c.PerMB) {
+		return c.PerMB[mb]
 	}
 	return c.MBCosts
 }
 
 // StageMB returns the cost book of one micro batch as priced on one placed
-// stage: the stage's placement-resolved book when the costs carry them, the
-// cluster-global book otherwise. Generators price every duration through
-// this so per-stage compute, collective and perturbation differences reach
-// the plan's ops. Byte fields (stashes, message volumes) are shape-derived
-// and identical across stages, so stage-agnostic callers may keep using MB.
+// stage: PerStage[stage].MB(mb) when the costs carry placed books, MB(mb)
+// otherwise, so both levels share MB's one fallback rule. Generators price
+// every duration through this so per-stage compute, collective and
+// perturbation differences reach the plan's ops. Byte fields (stashes,
+// message volumes) are shape-derived and identical across stages, so
+// stage-agnostic callers may keep using MB.
 func (c Costs) StageMB(stage, mb int) MBCosts {
 	if stage >= 0 && stage < len(c.PerStage) {
-		return c.PerStage[stage].mb(mb)
+		return c.PerStage[stage].MB(mb)
 	}
 	return c.MB(mb)
-}
-
-// override returns the per-micro-batch book for an index covered by PerMB.
-func (c Costs) override(mb int) (MBCosts, bool) {
-	if mb < 0 || mb >= len(c.PerMB) {
-		return MBCosts{}, false
-	}
-	return c.PerMB[mb], true
 }
 
 // Variable reports whether the cost book carries per-micro-batch overrides.
@@ -133,42 +127,68 @@ func newMBCosts(w costmodel.Workload) MBCosts {
 	return c
 }
 
-// NewCosts builds the cost book for a fixed-shape workload: every micro batch
-// shares the workload's single (b, s) shape. Books are memoized by workload,
-// so identical cells across a sweep or fleet stream share one book.
-func NewCosts(w costmodel.Workload) Costs {
-	return Costs{
+// NewCosts builds the cost book plans are annotated with. An empty batch
+// prices every micro batch at the workload's own shape. A non-empty batch
+// prices micro batch i at batch.Shapes[i], so every generator emits
+// durations, stash deltas and message volumes that follow each micro batch's
+// own shape; its uniform book is costed at the per-axis maximum shape,
+// keeping out-of-range lookups conservative, and a uniform batch needs no
+// per-micro-batch overrides. A non-nil topology adds PerStage[s]: the same
+// books priced against stage s's placed node (intra-node link class, device
+// generation, perturbation factor), while the top-level books stay the flat
+// cluster-global ones partition heuristics like AdaPipe's DP reason with.
+// Per-shape books are memoized by workload, so identical cells across a
+// sweep or fleet stream, and the few distinct lengths of a batch, each price
+// once.
+func NewCosts(w costmodel.Workload, batch model.BatchSpec, topo *cluster.Topology) Costs {
+	c := shapeCosts(w, batch)
+	if topo != nil {
+		c.PerStage = make([]Costs, topo.Stages())
+		for s := range c.PerStage {
+			c.PerStage[s] = shapeCosts(placedWorkload(w, topo, s), batch)
+		}
+	}
+	return c
+}
+
+// shapeCosts builds the uniform and per-micro-batch books of one workload.
+func shapeCosts(w costmodel.Workload, batch model.BatchSpec) Costs {
+	if len(batch.Shapes) > 0 {
+		w.Shape = batch.MaxShape()
+	}
+	c := Costs{
 		MBCosts:        memoMBCosts(w),
 		P2PLatency:     w.Cluster.InterNodeLatency,
 		P2PBytesPerSec: w.Cluster.InterNodeGBps * 1e9,
 	}
-}
-
-// NewBatchCosts builds the cost book for a variable-length workload: micro
-// batch i is costed at spec.Shapes[i], so every generator emits durations,
-// stash deltas and message volumes that follow each micro batch's own shape.
-// The uniform fallback book is costed at the per-axis maximum shape, keeping
-// out-of-range lookups conservative. Per-shape books are memoized, so a batch
-// that repeats a few distinct lengths prices each length once.
-func NewBatchCosts(w costmodel.Workload, spec model.BatchSpec) Costs {
-	wMax := w
-	wMax.Shape = spec.MaxShape()
-	c := Costs{
-		MBCosts:        memoMBCosts(wMax),
-		P2PLatency:     w.Cluster.InterNodeLatency,
-		P2PBytesPerSec: w.Cluster.InterNodeGBps * 1e9,
-	}
-	if _, uniform := spec.Uniform(); uniform {
-		// One shape: the embedded book already covers every micro batch.
+	if _, uniform := batch.Uniform(); uniform || len(batch.Shapes) == 0 {
 		return c
 	}
-	c.PerMB = make([]MBCosts, len(spec.Shapes))
-	for i, sh := range spec.Shapes {
+	c.PerMB = make([]MBCosts, len(batch.Shapes))
+	for i, sh := range batch.Shapes {
 		wi := w
 		wi.Shape = sh
 		c.PerMB[i] = memoMBCosts(wi)
 	}
 	return c
+}
+
+// placedWorkload resolves the workload to one placed stage of the topology:
+// collectives priced on the placed node's intra link, compute on its device
+// generation, durations stretched by its perturbation factor. The placed
+// fields are comparable parts of the workload, so the cost-book memo keys on
+// the placement signature automatically.
+func placedWorkload(w costmodel.Workload, topo *cluster.Topology, stage int) costmodel.Workload {
+	if l := topo.IntraLink(stage); l.GBps > 0 {
+		w.Link = costmodel.LinkSpec{Class: string(l.Class), GBps: l.GBps, LatencySec: l.LatencySec}
+	}
+	if name := topo.GPUName(stage); name != "" {
+		if g, ok := costmodel.GPUByName(name); ok {
+			w.GPU = g
+		}
+	}
+	w.ComputeFactor = topo.ComputeFactor(stage)
+	return w
 }
 
 func seqParOf(w costmodel.Workload) int64 {
@@ -280,30 +300,17 @@ func (c Costs) ZeroCommCosts() Costs {
 	out := c
 	out.P2PLatency = 0
 	out.P2PBytesPerSec = 0
-	for i := range out.BoundBytes {
-		out.BoundBytes[i] = 0
-	}
+	out.BoundBytes = [3]int64{}
 	if len(c.PerMB) > 0 {
 		out.PerMB = append([]MBCosts(nil), c.PerMB...)
 		for mb := range out.PerMB {
-			for i := range out.PerMB[mb].BoundBytes {
-				out.PerMB[mb].BoundBytes[i] = 0
-			}
+			out.PerMB[mb].BoundBytes = [3]int64{}
 		}
 	}
 	if len(c.PerStage) > 0 {
-		out.PerStage = make([]StageBook, len(c.PerStage))
+		out.PerStage = make([]Costs, len(c.PerStage))
 		for s, book := range c.PerStage {
-			book.PerMB = append([]MBCosts(nil), book.PerMB...)
-			for i := range book.BoundBytes {
-				book.BoundBytes[i] = 0
-			}
-			for mb := range book.PerMB {
-				for i := range book.PerMB[mb].BoundBytes {
-					book.PerMB[mb].BoundBytes[i] = 0
-				}
-			}
-			out.PerStage[s] = book
+			out.PerStage[s] = book.ZeroCommCosts()
 		}
 	}
 	return out

@@ -56,8 +56,8 @@ func TestPlacedCostsPCIeStageSlower(t *testing.T) {
 	nvTopo := resolveTest(t, c, []int{0, 1}, none)   // both stages in the NVLink box
 	pcieTopo := resolveTest(t, c, []int{0, 8}, none) // stage 1 in the PCIe box
 
-	nvCosts := NewPlacedCosts(w, nvTopo)
-	pcieCosts := NewPlacedCosts(w, pcieTopo)
+	nvCosts := NewCosts(w, model.BatchSpec{}, nvTopo)
+	pcieCosts := NewCosts(w, model.BatchSpec{}, pcieTopo)
 
 	nvPlan, err := OneFOneB(cfg, nvCosts)
 	if err != nil {
@@ -117,8 +117,8 @@ func TestPlacedCostsPCIeStageSlower(t *testing.T) {
 func TestPlacedCostsNVLinkMatchesFlat(t *testing.T) {
 	w := placedTestWorkload(t)
 	topo := resolveTest(t, mixedLinkCluster(), []int{0, 1}, cluster.Perturb{SlowDevice: -1})
-	flat := NewCosts(w)
-	placed := NewPlacedCosts(w, topo)
+	flat := NewCosts(w, model.BatchSpec{}, nil)
+	placed := NewCosts(w, model.BatchSpec{}, topo)
 	if len(placed.PerStage) != 2 {
 		t.Fatalf("placed costs carry %d stage books, want 2", len(placed.PerStage))
 	}
@@ -142,8 +142,8 @@ func TestPerturbStretchesOwnStageOnly(t *testing.T) {
 	pt := cluster.Perturb{SlowDevice: devices[slowStage], SlowFactor: factor}
 	perturbed := resolveTest(t, c, devices, pt)
 
-	cleanCosts := NewPlacedCosts(w, clean)
-	slowCosts := NewPlacedCosts(w, perturbed)
+	cleanCosts := NewCosts(w, model.BatchSpec{}, clean)
+	slowCosts := NewCosts(w, model.BatchSpec{}, perturbed)
 	for s := 0; s < len(devices); s++ {
 		got, want := slowCosts.StageMB(s, 0), cleanCosts.StageMB(s, 0)
 		if s != slowStage {
@@ -175,7 +175,7 @@ func TestPlacedBatchCostsPerStage(t *testing.T) {
 	w := placedTestWorkload(t)
 	spec := model.BatchSpec{Shapes: []model.Shape{{B: 1, S: 16384}, {B: 1, S: 8192}}}
 	topo := resolveTest(t, mixedLinkCluster(), []int{0, 8}, cluster.Perturb{SlowDevice: -1})
-	costs := NewPlacedBatchCosts(w, spec, topo)
+	costs := NewCosts(w, spec, topo)
 	if len(costs.PerStage) != 2 {
 		t.Fatalf("placed batch costs carry %d stage books, want 2", len(costs.PerStage))
 	}
@@ -186,6 +186,82 @@ func TestPlacedBatchCostsPerStage(t *testing.T) {
 		}
 		if nv.BoundBytes != costs.MB(mb).BoundBytes {
 			t.Errorf("mb %d: placed book bytes differ from flat book bytes", mb)
+		}
+	}
+}
+
+// TestNewCostsMatchesReference pins NewCosts against the four constructors
+// it replaced (costs_ref_test.go), picked the way Session.Costs picked them:
+// every accessor agrees over in-range and out-of-range stage and micro-batch
+// indices, for both paper testbeds, fixed, uniform and variable-length
+// batches, and flat, NVLink, mixed NVLink+PCIe and perturbed placements.
+func TestNewCostsMatchesReference(t *testing.T) {
+	h20Cluster := mixedLinkCluster()
+	h20Cluster.GPU = "H20"
+	h20Cluster.Nodes[0].Intra.GBps = 450
+	workloads := []struct {
+		name    string
+		w       costmodel.Workload
+		cluster cluster.Cluster
+	}{
+		{"3B/A800", costmodel.NewWorkload(model.Model3B(), costmodel.A800Cluster(), model.Shape{B: 1, S: 16384}), mixedLinkCluster()},
+		{"7B/H20", costmodel.NewWorkload(model.Model7B(), costmodel.H20Cluster(), model.Shape{B: 1, S: 32768}), h20Cluster},
+	}
+	batches := []struct {
+		name  string
+		batch model.BatchSpec
+	}{
+		{"none", model.BatchSpec{}},
+		{"uniform", model.BatchSpec{Shapes: []model.Shape{{B: 1, S: 8192}, {B: 1, S: 8192}, {B: 1, S: 8192}, {B: 1, S: 8192}}}},
+		{"variable", model.BatchSpec{Shapes: []model.Shape{{B: 1, S: 16384}, {B: 2, S: 4096}, {B: 1, S: 8192}, {B: 1, S: 16384}, {B: 1, S: 2048}}}},
+	}
+	none := cluster.Perturb{SlowDevice: -1}
+	placements := []struct {
+		name    string
+		devices []int
+		pt      *cluster.Perturb
+	}{
+		{"flat", nil, nil},
+		{"nvlink", []int{0, 1, 2, 3}, &none},
+		{"nvlink+pcie", []int{0, 1, 8, 9}, &none},
+		{"slow", []int{0, 1, 2, 3}, &cluster.Perturb{SlowDevice: 2, SlowFactor: 1.5, Jitter: 0.1, Seed: 7}},
+	}
+	for _, wl := range workloads {
+		for _, bt := range batches {
+			for _, pl := range placements {
+				name := wl.name + "/" + bt.name + "/" + pl.name
+				var topo *cluster.Topology
+				if pl.pt != nil {
+					topo = resolveTest(t, wl.cluster, pl.devices, *pl.pt)
+				}
+				got := NewCosts(wl.w, bt.batch, topo)
+				want := refSessionCosts(wl.w, bt.batch, topo)
+				if len(got.PerStage) != len(want.PerStage) {
+					t.Fatalf("%s: %d stage books, reference has %d", name, len(got.PerStage), len(want.PerStage))
+				}
+				if got.Variable() != want.Variable() {
+					t.Errorf("%s: Variable %v, reference %v", name, got.Variable(), want.Variable())
+				}
+				for _, bytes := range []int64{0, 1, 1 << 20, got.BoundBytes[BoundAct]} {
+					if g, r := got.P2PTime(bytes), want.P2PTime(bytes); g != r {
+						t.Errorf("%s: P2PTime(%d) %g, reference %g", name, bytes, g, r)
+					}
+				}
+				mbs := len(bt.batch.Shapes) + 4
+				for mb := -2; mb < mbs; mb++ {
+					if got.MB(mb) != want.MB(mb) {
+						t.Errorf("%s: MB(%d) differs from the reference", name, mb)
+					}
+					if got.MeanMB(mb) != want.MeanMB(mb) {
+						t.Errorf("%s: MeanMB(%d) differs from the reference", name, mb)
+					}
+					for s := -2; s < len(pl.devices)+2; s++ {
+						if got.StageMB(s, mb) != want.StageMB(s, mb) {
+							t.Errorf("%s: StageMB(%d, %d) differs from the reference", name, s, mb)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -87,13 +87,13 @@ func diffPlans(t testing.TB) []diffPlan {
 			for _, m := range []int{p, 2 * p, 4 * p} {
 				for _, varlen := range []bool{false, true} {
 					cfg := Config{Stages: p, MicroBatches: m, Layers: 2 * p}
-					costs := NewCosts(w)
+					costs := NewCosts(w, model.BatchSpec{}, nil)
 					if varlen {
 						cfg.Batch.Shapes = make([]model.Shape, m)
 						for i := range cfg.Batch.Shapes {
 							cfg.Batch.Shapes[i] = model.Shape{B: 1, S: 2048 << (i % 3)}
 						}
-						costs = NewBatchCosts(w, cfg.Batch)
+						costs = NewCosts(w, cfg.Batch, nil)
 					}
 					plan, err := reg.Build(cfg, costs, BuildParams{})
 					if err != nil {

@@ -21,7 +21,7 @@ func benchEngineInputs(tb testing.TB) (*sched.Plan, Options) {
 	cl := costmodel.A800Cluster()
 	const p, m = 8, 16
 	w := costmodel.NewWorkload(mc, cl, model.Shape{B: 1, S: 65536})
-	costs := sched.NewCosts(w)
+	costs := sched.NewCosts(w, model.BatchSpec{}, nil)
 	cfg := sched.Config{Stages: p, MicroBatches: m, Layers: mc.Layers}
 	plan, err := core.Build(cfg, costs, core.DefaultOptions())
 	if err != nil {

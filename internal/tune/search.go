@@ -12,6 +12,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -160,14 +161,12 @@ func NewSearch(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Search, er
 		if _, ok := s.costs[key]; ok {
 			continue
 		}
-		if key.workload != "" {
-			batch := *s.batchOf(sv.Candidate)
-			w := costmodel.NewWorkload(m, cl, batch.MaxShape())
-			s.costs[key] = sched.NewBatchCosts(w, batch)
-		} else {
-			w := costmodel.NewWorkload(m, cl, model.Shape{B: key.b, S: key.s})
-			s.costs[key] = sched.NewCosts(w)
+		var batch model.BatchSpec
+		if b := s.batchOf(sv.Candidate); b != nil {
+			batch = *b
 		}
+		w := costmodel.NewWorkload(m, cl, model.Shape{B: key.b, S: key.s})
+		s.costs[key] = sched.NewCosts(w, batch, nil)
 		s.res.CostModelEvals++
 		tuneCostEvalsC.Inc()
 	}
@@ -196,10 +195,10 @@ func (s *Search) batchOf(c Candidate) *model.BatchSpec {
 	return &b
 }
 
-// Points streams the expensive phase: the surviving grid points run on a
-// bounded worker pool (Spec.Workers wide; a launch window a few pool
-// widths ahead of the yield cursor caps buffered results) and are yielded
-// in deterministic grid order as soon as each simulation completes —
+// Points streams the expensive phase: the surviving grid points run on an
+// ordered worker pool (pool.Ordered, Spec.Workers wide; a launch window a
+// few pool widths ahead of the yield cursor caps buffered results) and are
+// yielded in deterministic grid order as soon as each simulation completes —
 // evaluated points as (Point, nil), discarded ones as (Point{},
 // *PruneError). A prune never aborts the remaining points. The stream
 // records everything it yields into the Search's accounting, so Result
@@ -211,59 +210,37 @@ func (s *Search) Points() iter.Seq2[Point, error] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	type outcome struct {
+		point  Point
+		reason string // empty on success
+	}
+	sink := s.spec.Sink
+	outcomes := pool.Ordered(len(s.survivors), workers, func(i, w int) (outcome, error) {
+		sv := s.survivors[i]
+		var start time.Time
+		if sink != nil {
+			start = time.Now()
+			sink.Emit(obs.Event{Kind: obs.CellStarted, Label: sv.Candidate.String(),
+				Index: i, Total: len(s.survivors), Worker: w})
+		}
+		point, reason, err := evaluate(s.m, s.cl, s.spec, sv.Candidate,
+			s.batchOf(sv.Candidate), sv.estPeak, s.budget, s.costs[keyOf(sv.Candidate)])
+		if sink != nil {
+			sink.Emit(obs.Event{Kind: obs.CellFinished, Label: sv.Candidate.String(),
+				Index: i, Total: len(s.survivors), Worker: w,
+				Duration: time.Since(start), Err: err})
+		}
+		return outcome{point: point, reason: reason}, err
+	})
 	return func(yield func(Point, error) bool) {
-		type outcome struct {
-			point  Point
-			reason string // empty on success
-			err    error
-		}
-		window := 4 * workers
-		results := make([]chan outcome, len(s.survivors))
-		for i := range results {
-			results[i] = make(chan outcome, 1)
-		}
-		// The semaphore doubles as the worker-id pool, so progress events
-		// can report which slot evaluated each survivor.
-		sem := make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			sem <- w
-		}
-		sink := s.spec.Sink
-		launch := func(i int) {
-			go func() {
-				w := <-sem
-				defer func() { sem <- w }()
-				sv := s.survivors[i]
-				var start time.Time
-				if sink != nil {
-					start = time.Now()
-					sink.Emit(obs.Event{Kind: obs.CellStarted, Label: sv.Candidate.String(),
-						Index: i, Total: len(s.survivors), Worker: w})
-				}
-				point, reason, err := evaluate(s.m, s.cl, s.spec, sv.Candidate,
-					s.batchOf(sv.Candidate), sv.estPeak, s.budget, s.costs[keyOf(sv.Candidate)])
-				if sink != nil {
-					sink.Emit(obs.Event{Kind: obs.CellFinished, Label: sv.Candidate.String(),
-						Index: i, Total: len(s.survivors), Worker: w,
-						Duration: time.Since(start), Err: err})
-				}
-				results[i] <- outcome{point: point, reason: reason, err: err}
-			}()
-		}
-		next := 0
-		for ; next < len(s.survivors) && next < window; next++ {
-			launch(next)
-		}
-		for i, sv := range s.survivors {
-			o := <-results[i]
-			if next < len(s.survivors) {
-				launch(next)
-				next++
-			}
+		i := 0
+		for o, err := range outcomes {
+			sv := s.survivors[i]
+			i++
 			if o.reason != "" {
 				s.prune(o.reason)
-				s.res.Errors = append(s.res.Errors, o.err.Error())
-				if !yield(Point{}, &PruneError{Candidate: sv.Candidate, Reason: o.reason, Err: o.err}) {
+				s.res.Errors = append(s.res.Errors, err.Error())
+				if !yield(Point{}, &PruneError{Candidate: sv.Candidate, Reason: o.reason, Err: err}) {
 					return
 				}
 				continue
@@ -275,8 +252,8 @@ func (s *Search) Points() iter.Seq2[Point, error] {
 			}
 			if s.spec.budgetMet(o.point) {
 				// The budget target is met: stop the stream here. In-flight
-				// launches drain into their buffered channels and are
-				// discarded; nothing further launches.
+				// jobs drain into their buffered slots and are discarded;
+				// nothing further launches.
 				s.res.StoppedEarly = true
 				return
 			}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tune"
@@ -416,16 +417,7 @@ func (s *Session) Workload() Workload {
 // intra-node link, device generation and perturbation factor; flat NVLink
 // topologies reproduce the flat book bit for bit.
 func (s *Session) Costs() Costs {
-	if len(s.batch.Shapes) > 0 {
-		if s.resolvedTopo != nil {
-			return sched.NewPlacedBatchCosts(s.Workload(), s.batch, s.resolvedTopo)
-		}
-		return sched.NewBatchCosts(s.Workload(), s.batch)
-	}
-	if s.resolvedTopo != nil {
-		return sched.NewPlacedCosts(s.Workload(), s.resolvedTopo)
-	}
-	return sched.NewCosts(s.Workload())
+	return sched.NewCosts(s.Workload(), s.batch, s.resolvedTopo)
 }
 
 // MemoryBudget returns the per-GPU activation budget handed to budget-aware
@@ -700,82 +692,41 @@ func cachedJob(cache *ReportCache, cell *Session, method Method, engineName stri
 var cellSecondsH = obs.Default().Histogram("helix_cell_seconds",
 	[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10})
 
-// streamReports runs the jobs on a bounded worker pool and yields each
-// job's (report, error) in job order, as soon as it is available — the
-// first report arrives while later cells are still simulating. A
-// semaphore keeps the pool full even when the in-order head cell is the
-// slow one, while a launch window a few pool-widths ahead of the yield
-// cursor caps how many finished reports can pile up waiting their turn: a
-// 500-cell grid holds a bounded window of reports, not five hundred. A
-// job error is yielded as (nil, err) and never aborts the remaining jobs.
-// Breaking out of the iteration launches nothing further; in-flight jobs
-// finish into their buffered slots and are collected by the GC.
+// streamReports runs the jobs on a GOMAXPROCS-wide ordered pool
+// (pool.Ordered) and yields each job's (report, error) in job order, as soon
+// as it is available. A job error is yielded as (nil, err) and never aborts
+// the remaining jobs; breaking out of the iteration launches nothing
+// further.
 //
 // A non-nil sink receives a CellStarted/CellFinished event pair per job,
 // carrying the job's label, the worker slot that ran it, its wall clock
 // and (off the report's telemetry) the cache-hit flag.
 func streamReports(jobs []func() (*Report, error), labels []string, sink obs.Sink) iter.Seq2[*Report, error] {
-	return func(yield func(*Report, error) bool) {
-		type slot struct {
-			report *Report
-			err    error
+	labelAt := func(i int) string {
+		if i < len(labels) {
+			return labels[i]
 		}
-		workers := max(runtime.GOMAXPROCS(0), 1)
-		window := 4 * workers
-		results := make([]chan slot, len(jobs))
-		for i := range results {
-			results[i] = make(chan slot, 1)
-		}
-		// The semaphore doubles as the worker-id pool: a job holds one id
-		// for its whole run, so events can say which slot ran it.
-		sem := make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			sem <- w
-		}
-		labelAt := func(i int) string {
-			if i < len(labels) {
-				return labels[i]
-			}
-			return ""
-		}
-		launch := func(i int) {
-			go func() {
-				w := <-sem
-				defer func() { sem <- w }()
-				start := time.Now()
-				if sink != nil {
-					sink.Emit(obs.Event{Kind: obs.CellStarted, Label: labelAt(i),
-						Index: i, Total: len(jobs), Worker: w})
-				}
-				r, err := jobs[i]()
-				cellSecondsH.Observe(time.Since(start).Seconds())
-				if sink != nil {
-					ev := obs.Event{Kind: obs.CellFinished, Label: labelAt(i),
-						Index: i, Total: len(jobs), Worker: w,
-						Duration: time.Since(start), Err: err}
-					if r != nil && r.Telemetry != nil {
-						ev.CacheHit = r.Telemetry.CacheHit
-					}
-					sink.Emit(ev)
-				}
-				results[i] <- slot{r, err}
-			}()
-		}
-		next := 0
-		for ; next < len(jobs) && next < window; next++ {
-			launch(next)
-		}
-		for i := range jobs {
-			res := <-results[i]
-			if next < len(jobs) {
-				launch(next)
-				next++
-			}
-			if !yield(res.report, res.err) {
-				return
-			}
-		}
+		return ""
 	}
+	return pool.Ordered(len(jobs), runtime.GOMAXPROCS(0), func(i, w int) (*Report, error) {
+		start := time.Now()
+		if sink != nil {
+			sink.Emit(obs.Event{Kind: obs.CellStarted, Label: labelAt(i),
+				Index: i, Total: len(jobs), Worker: w})
+		}
+		r, err := jobs[i]()
+		cellSecondsH.Observe(time.Since(start).Seconds())
+		if sink != nil {
+			ev := obs.Event{Kind: obs.CellFinished, Label: labelAt(i),
+				Index: i, Total: len(jobs), Worker: w,
+				Duration: time.Since(start), Err: err}
+			if r != nil && r.Telemetry != nil {
+				ev.CacheHit = r.Telemetry.CacheHit
+			}
+			sink.Emit(ev)
+		}
+		return r, err
+	})
 }
 
 // Stream is the streaming core of Sweep: it derives one session per
